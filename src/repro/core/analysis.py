@@ -260,10 +260,63 @@ def table4_isp_dns(classification, orgmap: AsOrgMap) -> list[IspDnsRow]:
 
 _URL_IN_DIFF = re.compile(r"https?://([A-Za-z0-9.\-]+(?:/[A-Za-z0-9.\-_/]*[A-Za-z0-9])?)")
 _VAR_IN_DIFF = re.compile(r"var\s+([A-Za-z_]\w*)\s*;")
-_TOKEN_IN_DIFF = re.compile(r"([A-Za-z]\w*_Widget_Container)")
 # The common-prefix diff may eat the leading "<" (it matches the original's
 # next tag), so the meta pattern must not anchor on it.
 _META_IN_DIFF = re.compile(r'meta\s+name="([^"]+)"')
+
+_WIDGET_SUFFIX = "_Widget_Container"
+_LETTER = re.compile(r"[A-Za-z]")
+_NON_WORD = re.compile(r"\W")
+# The last non-word character before ``endpos``: each ``\W`` start scans only
+# its own word run, so the search is linear.
+_RUN_BOUNDARY = re.compile(r"\W\w*\Z")
+
+
+def widget_token(text: str) -> Optional[str]:
+    r"""The first ``<letter><word chars>_Widget_Container`` token in ``text``.
+
+    Equal to ``re.search(r"([A-Za-z]\w*_Widget_Container)", text)``'s group,
+    in linear time: that regex re-scans a word run to its end from every
+    letter in it, which is quadratic on long word runs such as an injected
+    "adad..." filler.  Instead, anchor on the literal, take the word run
+    around it and apply the regex's rule directly: the match starts at the
+    run's first letter that precedes the run's last occurrence of the
+    literal, and ends on that occurrence (the greedy ``\w*``).
+    """
+    start = 0
+    while (anchor := text.find(_WIDGET_SUFFIX, start)) >= 0:
+        boundary = _RUN_BOUNDARY.search(text, start, anchor)
+        run_start = boundary.start() + 1 if boundary else start
+        after = _NON_WORD.search(text, anchor)
+        run_end = after.start() if after else len(text)
+        last = text.rfind(_WIDGET_SUFFIX, run_start, run_end)
+        letter = _LETTER.search(text, run_start, last)
+        if letter:
+            return text[letter.start() : last + len(_WIDGET_SUFFIX)]
+        start = run_end
+    return None
+
+
+def _common_prefix(a: bytes, b: bytes, limit: int) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``, at most ``limit``.
+
+    Gallops over doubling chunks, then bisects the first unequal chunk, so
+    every step is one slice comparison (a C ``memcmp``) and the bytes
+    compared stay linear in the answer.
+    """
+    matched, step = 0, 1
+    while matched < limit:
+        end = min(matched + step, limit)
+        if a[matched:end] != b[matched:end]:
+            while end - matched > 1:
+                mid = (matched + end) // 2
+                if a[matched:mid] == b[matched:mid]:
+                    matched = mid
+                else:
+                    end = mid
+            return matched
+        matched, step = end, step * 2
+    return matched
 
 
 def injected_fragment(original: bytes, received: bytes) -> bytes:
@@ -271,18 +324,12 @@ def injected_fragment(original: bytes, received: bytes) -> bytes:
 
     Uses longest common prefix/suffix — sound for the single-block splices
     real injectors perform; a wholesale page replacement returns the whole
-    received body.
+    received body.  The suffix never overlaps the prefix, which matters when
+    the splice repeats the content around it.
     """
-    prefix = 0
     limit = min(len(original), len(received))
-    while prefix < limit and original[prefix] == received[prefix]:
-        prefix += 1
-    suffix = 0
-    while (
-        suffix < limit - prefix
-        and original[len(original) - 1 - suffix] == received[len(received) - 1 - suffix]
-    ):
-        suffix += 1
+    prefix = _common_prefix(original, received, limit)
+    suffix = _common_prefix(original[::-1], received[::-1], limit - prefix)
     return received[prefix : len(received) - suffix]
 
 
@@ -290,15 +337,15 @@ def injection_signature(original: bytes, received: bytes) -> str:
     """The URL or keyword characterising an injection (§5.2's manual step).
 
     Preference order mirrors what a human analyst keys on: an embedded URL,
-    a declared variable, a widget-container class id, a meta tag name.
+    a widget-container class id, a declared variable, a meta tag name.
     """
     fragment = injected_fragment(original, received).decode("ascii", errors="replace")
     match = _URL_IN_DIFF.search(fragment)
     if match:
         return match.group(1)
-    match = _TOKEN_IN_DIFF.search(fragment)
-    if match:
-        return match.group(1)
+    token = widget_token(fragment)
+    if token is not None:
+        return token
     match = _VAR_IN_DIFF.search(fragment)
     if match:
         return f"var {match.group(1)};"

@@ -1,5 +1,7 @@
 """End-to-end tests of the HTTP content-modification methodology."""
 
+import time
+
 import pytest
 
 from repro.core.analysis import (
@@ -8,8 +10,10 @@ from repro.core.analysis import (
     injection_signature,
     table6_js_injection,
     table7_image_compression,
+    widget_token,
 )
 from repro.core.experiments.http_mod import INITIAL_PER_AS, HttpModExperiment
+from repro.middlebox.injectors import JsInjector
 from repro.sim import WorldConfig, build_world
 from repro.sim.profiles import CountrySpec, IspSpec, TranscoderSpec
 from repro.web.content import ObjectKind, make_html
@@ -142,38 +146,86 @@ class TestTable6:
         assert injected == measured  # every FilterNet node is modified
 
 
+PAGE = make_html(8 * 1024)
+
+
+def splice(block: bytes) -> bytes:
+    """``PAGE`` with ``block`` injected before ``</body>``."""
+    anchor = PAGE.rfind(b"</body>")
+    return PAGE[:anchor] + block + PAGE[anchor:]
+
+
 class TestSignatureExtraction:
-    ORIGINAL = make_html(8 * 1024)
-
-    def splice(self, block: bytes) -> bytes:
-        anchor = self.ORIGINAL.rfind(b"</body>")
-        return self.ORIGINAL[:anchor] + block + self.ORIGINAL[anchor:]
-
     def test_url_signature(self):
-        received = self.splice(b'<script src="http://cdn.evil.example/x.js"></script>')
-        assert injection_signature(self.ORIGINAL, received) == "cdn.evil.example/x.js"
+        received = splice(b'<script src="http://cdn.evil.example/x.js"></script>')
+        assert injection_signature(PAGE, received) == "cdn.evil.example/x.js"
 
     def test_var_signature(self):
-        received = self.splice(b"<script>var oiasudoj;</script>")
-        assert injection_signature(self.ORIGINAL, received) == "var oiasudoj;"
+        received = splice(b"<script>var oiasudoj;</script>")
+        assert injection_signature(PAGE, received) == "var oiasudoj;"
 
     def test_widget_container_signature(self):
-        received = self.splice(b"<script>AdTaily_Widget_Container.init()</script>")
-        assert injection_signature(self.ORIGINAL, received) == "AdTaily_Widget_Container"
+        received = splice(b"<script>AdTaily_Widget_Container.init()</script>")
+        assert injection_signature(PAGE, received) == "AdTaily_Widget_Container"
 
     def test_unidentified_fallback(self):
-        received = self.splice(b"<script>!function(){}()</script>")
-        assert injection_signature(self.ORIGINAL, received) == "(unidentified)"
+        received = splice(b"<script>!function(){}()</script>")
+        assert injection_signature(PAGE, received) == "(unidentified)"
 
     def test_fragment_recovery(self):
         block = b"<script>payload_xyz</script>"
-        received = self.splice(block)
-        fragment = injected_fragment(self.ORIGINAL, received)
+        received = splice(block)
+        fragment = injected_fragment(PAGE, received)
         assert b"payload_xyz" in fragment
         assert len(fragment) <= len(block) + 16
 
     def test_url_preferred_over_var(self):
-        received = self.splice(
+        received = splice(
             b'<script src="http://a.example/x.js">var decoy;</script>'
         )
-        assert injection_signature(self.ORIGINAL, received) == "a.example/x.js"
+        assert injection_signature(PAGE, received) == "a.example/x.js"
+
+
+class TestAdversarialFragments:
+    """Marker extraction stays linear on large injected payloads.
+
+    Each case first runs at 40K characters (several seconds for a quadratic
+    extractor), so a regression fails there instead of spending hours on the
+    1 MB input.  The ceilings are loose: every case takes well under 0.1 s.
+    """
+
+    CEILING_S = 2.0
+    SIZES = (40_000, 1_000_000)
+
+    def timed(self, extract, *args):
+        start = time.perf_counter()
+        result = extract(*args)
+        elapsed = time.perf_counter() - start
+        assert elapsed < self.CEILING_S, f"{elapsed:.2f}s on {len(args[-1]):,} chars"
+        return result
+
+    def test_adtaily_splice_without_url(self):
+        for size in (40_000, 335_000):
+            block = JsInjector(
+                "adtaily", "AdTaily_Widget_Container", size, marker_is_url=False
+            ).injection_block()
+            assert self.timed(injection_signature, PAGE, splice(block)) == (
+                "AdTaily_Widget_Container"
+            )
+
+    def test_long_filler_without_token_is_unidentified(self):
+        for size in self.SIZES:
+            received = splice(b"ad" * (size // 2))
+            assert self.timed(injection_signature, PAGE, received) == (
+                "(unidentified)"
+            )
+
+    def test_letters_after_the_only_literal_match_nothing(self):
+        for size in self.SIZES:
+            text = "_Widget_Container" + "a" * size
+            assert self.timed(widget_token, text) is None
+
+    def test_token_spans_the_whole_word_run(self):
+        for size in self.SIZES:
+            text = "x" * (size - 17) + "_Widget_Container"
+            assert self.timed(widget_token, text) == text

@@ -6,11 +6,12 @@ stable per-node draws, session expiry.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.analysis import injected_fragment, injection_signature
+from repro.core.analysis import injected_fragment, injection_signature, widget_token
 from repro.core.reports import render_table, within_factor
 from repro.luminati.headers import AttemptRecord, TimelineDebug
 from repro.luminati.session import SessionTable
@@ -86,6 +87,69 @@ class TestInjectionDiffProperties:
         anchor = self.ORIGINAL.rfind(b"</body>")
         received = self.ORIGINAL[:anchor] + block + self.ORIGINAL[anchor:]
         assert injection_signature(self.ORIGINAL, received).startswith(host)
+
+
+# Oracles for the linear-time extractors: the original quadratic regex and
+# the original per-byte prefix/suffix walk.
+_TOKEN_IN_DIFF = re.compile(r"([A-Za-z]\w*_Widget_Container)")
+
+
+def _regex_widget_token(text):
+    match = _TOKEN_IN_DIFF.search(text)
+    return match.group(1) if match else None
+
+
+def _byte_loop_fragment(original, received):
+    prefix = 0
+    limit = min(len(original), len(received))
+    while prefix < limit and original[prefix] == received[prefix]:
+        prefix += 1
+    suffix = 0
+    while (
+        suffix < limit - prefix
+        and original[len(original) - 1 - suffix] == received[len(received) - 1 - suffix]
+    ):
+        suffix += 1
+    return received[prefix : len(received) - suffix]
+
+
+token_text = st.lists(
+    st.sampled_from(
+        ["a", "Z", "9", "_", " ", "<", "\ufffd",
+         "_Widget_Container", "Widget_Container", "_Widget_"]
+    ),
+    max_size=24,
+).map("".join)
+# A two-letter alphabet makes long shared prefixes, suffixes and repeats
+# (where the suffix must stop short of the prefix) common.
+small_bytes = st.binary(max_size=40).map(lambda b: bytes(97 + (x & 1) for x in b))
+
+
+class TestExtractorEquivalence:
+    @given(text=token_text)
+    @settings(max_examples=2_000)
+    def test_widget_token_matches_regex(self, text):
+        assert widget_token(text) == _regex_widget_token(text)
+
+    @given(original=small_bytes, received=small_bytes)
+    @settings(max_examples=1_000)
+    def test_fragment_matches_byte_loop_on_repetitive_pairs(self, original, received):
+        assert injected_fragment(original, received) == _byte_loop_fragment(
+            original, received
+        )
+
+    @given(
+        payload=st.binary(max_size=64),
+        cut=st.integers(min_value=0, max_value=4096),
+        drop=st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=200)
+    def test_fragment_matches_byte_loop_on_splices(self, payload, cut, drop):
+        original = make_html(4096)
+        received = original[:cut] + payload + original[cut + drop :]
+        assert injected_fragment(original, received) == _byte_loop_fragment(
+            original, received
+        )
 
 
 class TestStableDraws:
