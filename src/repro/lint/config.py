@@ -22,6 +22,9 @@ DEFAULT_ALLOW: Mapping[str, tuple[str, ...]] = {
     # The simulated clock is the one module allowed to *define* time;
     # it never reads the wall clock, but exempting it documents the contract.
     "DET002": ("*/net/clock.py",),
+    # Wall-clock profiling writes to the digest-excluded ProfilingChannel,
+    # never to the trace.
+    "OBS001": ("*repro/obs/profiling.py",),
 }
 
 #: Modules whose dataclasses are measurement records and must be frozen

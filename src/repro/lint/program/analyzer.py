@@ -34,10 +34,9 @@ from repro.lint.program.symbols import ModuleSummary, build_module_summary
 from repro.lint.program.taint import analyze_flows
 
 #: Bump to invalidate every cache when analysis semantics change.
-#: Bumped for the RACE-family extension: in-place mutator calls
-#: (``.append()`` et al.) on module globals now count as mutations, and
-#: ``array`` counts as a mutable constructor.
-ANALYZER_VERSION = "2"
+#: Bumped when FLT001/OBS001/SRV001/WLD001 became one ``SterilePackage``
+#: rule with a shared, wider ban list.
+ANALYZER_VERSION = "3"
 
 
 @dataclass(slots=True)

@@ -14,7 +14,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import FileContext, Finding
-from repro.lint.rules.base import Rule, call_name
+from repro.lint.rules.base import Rule, call_name, wall_clock_call
 
 # -- DET001 -----------------------------------------------------------------
 
@@ -83,19 +83,6 @@ class UnseededRandom(Rule):
 
 # -- DET002 -----------------------------------------------------------------
 
-#: ``time.<attr>`` calls that read (or block on) the wall clock.
-_TIME_ATTRS = {
-    "time", "time_ns",
-    "monotonic", "monotonic_ns",
-    "perf_counter", "perf_counter_ns",
-    "process_time", "process_time_ns",
-    "sleep", "localtime", "gmtime",
-}
-
-#: ``datetime``/``date`` constructors that read the wall clock.
-_DATETIME_ATTRS = {"now", "utcnow", "today"}
-
-
 class WallClock(Rule):
     """Forbid wall-clock reads outside the simulated clock module."""
 
@@ -112,7 +99,7 @@ class WallClock(Rule):
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom) and node.module == "time":
                 for alias in node.names:
-                    if alias.name in _TIME_ATTRS:
+                    if wall_clock_call(f"time.{alias.name}"):
                         yield self.finding(
                             ctx, node, f"time.{alias.name}",
                             f"importing 'time.{alias.name}' reaches the wall "
@@ -123,19 +110,7 @@ class WallClock(Rule):
             name = call_name(node)
             if name is None:
                 continue
-            if name.startswith("time.") and name.split(".", 1)[1] in _TIME_ATTRS:
-                yield self.finding(
-                    ctx, node, name,
-                    f"'{name}()' reads the wall clock; simulation time must "
-                    "come from repro.net.clock",
-                )
-                continue
-            parts = name.split(".")
-            if (
-                len(parts) >= 2
-                and parts[-1] in _DATETIME_ATTRS
-                and parts[-2] in ("datetime", "date")
-            ):
+            if wall_clock_call(name):
                 yield self.finding(
                     ctx, node, name,
                     f"'{name}()' reads the wall clock; simulation time must "

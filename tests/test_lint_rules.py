@@ -9,9 +9,11 @@ findings at all (near-misses are part of the point).
 from __future__ import annotations
 
 import pathlib
+import re
 
 import pytest
 
+import repro
 from repro.lint import LintConfig, LintEngine
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures" / "lint"
@@ -107,111 +109,149 @@ class TestEngineMechanics:
         for rule_id, title, rationale in docs:
             assert rule_id and title and rationale
 
+    def test_docs_catalogue_lists_every_rule(self):
+        from repro.lint.engine import iter_rule_docs
 
-class TestFaultPlanRule:
-    """FLT001 is path-scoped, so its fixtures live under ``repro/faults/``."""
-
-    BAD = FIXTURES / "repro" / "faults" / "flt001_bad.py"
-    GOOD = FIXTURES / "repro" / "faults" / "flt001_good.py"
-
-    def test_bad_fixture_fires(self):
-        findings = fixture_engine().lint_file(self.BAD, FIXTURES)
-        assert findings, "FLT001 bad fixture produced no findings"
-        assert {f.rule for f in findings} == {"FLT001"}
-        assert {f.symbol for f in findings} == {
-            "random", "secrets", "uuid", "os.urandom",
-        }
-        assert all(f.path == "repro/faults/flt001_bad.py" for f in findings)
-
-    def test_good_fixture_is_silent(self):
-        findings = fixture_engine().lint_file(self.GOOD, FIXTURES)
-        assert findings == [], f"flt001_good.py should be clean: {findings}"
-
-    def test_rule_is_scoped_to_faults_package(self):
-        source = self.BAD.read_text(encoding="utf-8")
-        findings = fixture_engine().lint_source(source, "repro/engine/elsewhere.py")
-        assert "FLT001" not in {f.rule for f in findings}
+        doc = pathlib.Path(__file__).resolve().parent.parent / "docs" / "static_analysis.md"
+        catalogue = doc.read_text(encoding="utf-8").split("## Rule catalogue", 1)[1]
+        catalogue = catalogue.split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `([A-Z]+\d+)` \|", catalogue, flags=re.MULTILINE)
+        assert len(rows) == len(set(rows)), f"duplicate catalogue rows: {rows}"
+        assert set(rows) == {rule_id for rule_id, _, _ in iter_rule_docs()}
 
 
-class TestObservabilityRule:
-    """OBS001 is path-scoped to ``repro/obs/`` and exempts ``profiling.py``.
+#: rule id -> (package, bad fixture, expected symbols, other rules the bad
+#: fixture trips by design, good fixture).  The sterile-package rules are
+#: path-scoped, so each rule's fixtures live under ``repro/<package>/``; the
+#: OBS/SRV/WLD bad fixtures also make the calls DET001/DET002 police.
+STERILE_CASES = {
+    "FLT001": (
+        "faults", "flt001_bad.py",
+        {"random", "secrets", "uuid", "os.urandom"},
+        set(), "flt001_good.py",
+    ),
+    "OBS001": (
+        "obs", "obs001_bad.py",
+        {"time", "datetime", "time.perf_counter", "datetime.now"},
+        {"DET002"}, "obs001_good.py",
+    ),
+    "SRV001": (
+        "serve", "srv001_bad.py",
+        {"random", "time", "datetime", "time.time", "datetime.now"},
+        {"DET001", "DET002"}, "srv001_good.py",
+    ),
+    "WLD001": (
+        "worldbuilder", "wld001_bad.py",
+        {"random", "time", "datetime", "time.time", "datetime.now"},
+        {"DET001", "DET002"}, "wld001_good.py",
+    ),
+}
 
-    Its bad fixture's wall-clock reads also trip DET002 (by design — the
-    rules overlap inside the obs plane), so these tests select OBS001 alone.
+#: Spellings of host time or entropy that every sterile-package rule flags.
+HOST_STATE_SPELLINGS = {
+    "import time": "import time\n\nstamp = time.time()\n",
+    "from time import perf_counter": "from time import perf_counter\n",
+    "datetime.now": "from datetime import datetime\n\nstamp = datetime.now()\n",
+    "import uuid": "import uuid\n",
+    "import secrets": "import secrets\n",
+    "from random import Random": "from random import Random\n",
+    "import numpy.random": "import numpy.random\n",
+    "from numpy import random": "from numpy import random\n",
+    "os.urandom": "import os\n\nkey = os.urandom(8)\n",
+    "os.getrandom": "import os\n\nkey = os.getrandom(8)\n",
+}
+
+#: The obs plane's wall-clock profiling module, exempt from OBS001 only.
+PROFILING = FIXTURES / "repro" / "obs" / "profiling.py"
+
+
+def rule_engine(rule_id: str) -> LintEngine:
+    """An engine running one rule alone."""
+    return LintEngine(LintConfig(select=(rule_id,)))
+
+
+class SterileRuleCase:
+    """Checks shared by the sterile-package rules; subclasses set ``RULE``.
+
+    The per-rule classes keep the test ids the four rules had before they
+    became one ``SterilePackage`` rule.
     """
 
-    BAD = FIXTURES / "repro" / "obs" / "obs001_bad.py"
-    GOOD = FIXTURES / "repro" / "obs" / "obs001_good.py"
-    PROFILING = FIXTURES / "repro" / "obs" / "profiling.py"
-
-    @staticmethod
-    def engine() -> LintEngine:
-        return LintEngine(LintConfig(select=("OBS001",)))
+    RULE: str
 
     def test_bad_fixture_fires(self):
-        findings = self.engine().lint_file(self.BAD, FIXTURES)
-        assert findings, "OBS001 bad fixture produced no findings"
-        assert {f.rule for f in findings} == {"OBS001"}
-        assert {f.symbol for f in findings} == {
-            "time", "datetime", "time.perf_counter", "datetime.now",
-        }
-        assert all(f.path == "repro/obs/obs001_bad.py" for f in findings)
+        package, bad, symbols, also, _ = STERILE_CASES[self.RULE]
+        findings = fixture_engine().lint_file(FIXTURES / "repro" / package / bad, FIXTURES)
+        assert {f.rule for f in findings} == {self.RULE} | also, findings
+        assert {f.symbol for f in findings if f.rule == self.RULE} == symbols
+        assert all(f.path == f"repro/{package}/{bad}" for f in findings)
 
     def test_good_fixture_is_silent(self):
-        findings = self.engine().lint_file(self.GOOD, FIXTURES)
-        assert findings == [], f"obs001_good.py should be clean: {findings}"
+        package, _, _, _, good = STERILE_CASES[self.RULE]
+        findings = fixture_engine().lint_file(FIXTURES / "repro" / package / good, FIXTURES)
+        assert findings == [], f"{good} should be clean: {findings}"
+
+    def check_scoped(self):
+        package, bad = STERILE_CASES[self.RULE][:2]
+        source = (FIXTURES / "repro" / package / bad).read_text(encoding="utf-8")
+        findings = fixture_engine().lint_source(source, "repro/engine/elsewhere.py")
+        assert self.RULE not in {f.rule for f in findings}
+
+    def check_shipped_clean(self):
+        package = STERILE_CASES[self.RULE][0]
+        src_root = pathlib.Path(repro.__file__).resolve().parent.parent
+        modules = sorted((src_root / "repro" / package).glob("*.py"))
+        assert modules
+        engine = rule_engine(self.RULE)
+        for module in modules:
+            findings = engine.lint_file(module, src_root)
+            assert findings == [], f"{module.name}: {findings}"
+
+
+class TestFaultPlanRule(SterileRuleCase):
+    RULE = "FLT001"
+    test_rule_is_scoped_to_faults_package = SterileRuleCase.check_scoped
+    test_shipped_faults_package_is_clean = SterileRuleCase.check_shipped_clean
+
+
+class TestObservabilityRule(SterileRuleCase):
+    RULE = "OBS001"
+    test_rule_is_scoped_to_obs_package = SterileRuleCase.check_scoped
+    test_shipped_obs_package_is_clean = SterileRuleCase.check_shipped_clean
 
     def test_profiling_module_is_exempt(self):
-        findings = self.engine().lint_file(self.PROFILING, FIXTURES)
+        findings = rule_engine("OBS001").lint_file(PROFILING, FIXTURES)
         assert findings == [], f"profiling.py is the wall-clock channel: {findings}"
 
-    def test_rule_is_scoped_to_obs_package(self):
-        source = self.BAD.read_text(encoding="utf-8")
-        findings = self.engine().lint_source(source, "repro/engine/elsewhere.py")
-        assert findings == []
+
+class TestServiceRule(SterileRuleCase):
+    RULE = "SRV001"
+    test_rule_is_scoped_to_serve_package = SterileRuleCase.check_scoped
+    test_shipped_serve_package_is_clean = SterileRuleCase.check_shipped_clean
 
 
-class TestServiceRule:
-    """SRV001 is path-scoped to ``repro/serve/`` and bans both wall-clock
-    access *and* ambient randomness (the jitter-stream trap).
+class TestWorldBuilderRule(SterileRuleCase):
+    RULE = "WLD001"
+    test_rule_is_scoped_to_worldbuilder_package = SterileRuleCase.check_scoped
+    test_shipped_worldbuilder_package_is_clean = SterileRuleCase.check_shipped_clean
 
-    Its bad fixture also trips DET001/DET002 (by design — the rules overlap
-    inside the service plane), so these tests select SRV001 alone.
-    """
 
-    BAD = FIXTURES / "repro" / "serve" / "srv001_bad.py"
-    GOOD = FIXTURES / "repro" / "serve" / "srv001_good.py"
+@pytest.mark.parametrize("spelling", sorted(HOST_STATE_SPELLINGS))
+@pytest.mark.parametrize("rule_id", sorted(STERILE_CASES))
+def test_sterile_rules_flag_every_host_state_spelling(rule_id, spelling):
+    package = STERILE_CASES[rule_id][0]
+    findings = rule_engine(rule_id).lint_source(
+        HOST_STATE_SPELLINGS[spelling], f"repro/{package}/m.py"
+    )
+    assert findings, f"{rule_id} missed {spelling!r}"
 
-    @staticmethod
-    def engine() -> LintEngine:
-        return LintEngine(LintConfig(select=("SRV001",)))
 
-    def test_bad_fixture_fires(self):
-        findings = self.engine().lint_file(self.BAD, FIXTURES)
-        assert findings, "SRV001 bad fixture produced no findings"
-        assert {f.rule for f in findings} == {"SRV001"}
-        assert {f.symbol for f in findings} == {
-            "random", "time", "datetime", "time.time", "datetime.now",
-        }
-        assert all(f.path == "repro/serve/srv001_bad.py" for f in findings)
-
-    def test_good_fixture_is_silent(self):
-        findings = self.engine().lint_file(self.GOOD, FIXTURES)
-        assert findings == [], f"srv001_good.py should be clean: {findings}"
-
-    def test_rule_is_scoped_to_serve_package(self):
-        source = self.BAD.read_text(encoding="utf-8")
-        findings = self.engine().lint_source(source, "repro/engine/elsewhere.py")
-        assert findings == []
-
-    def test_shipped_serve_package_is_clean(self):
-        import repro.serve as serve_pkg
-
-        package_dir = pathlib.Path(serve_pkg.__file__).resolve().parent
-        engine = self.engine()
-        for module in sorted(package_dir.glob("*.py")):
-            findings = engine.lint_file(module, package_dir.parent.parent)
-            assert findings == [], f"{module.name}: {findings}"
+@pytest.mark.parametrize("rule_id", ["FLT001", "SRV001", "WLD001"])
+def test_profiling_module_outside_obs_is_not_exempt(rule_id):
+    package = STERILE_CASES[rule_id][0]
+    source = PROFILING.read_text(encoding="utf-8")
+    findings = rule_engine(rule_id).lint_source(source, f"repro/{package}/profiling.py")
+    assert {f.symbol for f in findings} == {"time", "time.perf_counter"}
 
 
 class TestContainedFailuresRule:
@@ -250,50 +290,6 @@ class TestContainedFailuresRule:
         import repro.serve as serve_pkg
 
         package_dir = pathlib.Path(serve_pkg.__file__).resolve().parent
-        engine = self.engine()
-        for module in sorted(package_dir.glob("*.py")):
-            findings = engine.lint_file(module, package_dir.parent.parent)
-            assert findings == [], f"{module.name}: {findings}"
-
-
-class TestWorldBuilderRule:
-    """WLD001 is path-scoped to ``repro/worldbuilder/`` and bans both
-    wall-clock access *and* ambient randomness (manifest SHAs must be pure
-    functions of the spec).
-
-    Its bad fixture also trips DET001/DET002 (by design — the rules overlap
-    inside the world builder), so these tests select WLD001 alone.
-    """
-
-    BAD = FIXTURES / "repro" / "worldbuilder" / "wld001_bad.py"
-    GOOD = FIXTURES / "repro" / "worldbuilder" / "wld001_good.py"
-
-    @staticmethod
-    def engine() -> LintEngine:
-        return LintEngine(LintConfig(select=("WLD001",)))
-
-    def test_bad_fixture_fires(self):
-        findings = self.engine().lint_file(self.BAD, FIXTURES)
-        assert findings, "WLD001 bad fixture produced no findings"
-        assert {f.rule for f in findings} == {"WLD001"}
-        assert {f.symbol for f in findings} == {
-            "random", "time", "datetime", "time.time", "datetime.now",
-        }
-        assert all(f.path == "repro/worldbuilder/wld001_bad.py" for f in findings)
-
-    def test_good_fixture_is_silent(self):
-        findings = self.engine().lint_file(self.GOOD, FIXTURES)
-        assert findings == [], f"wld001_good.py should be clean: {findings}"
-
-    def test_rule_is_scoped_to_worldbuilder_package(self):
-        source = self.BAD.read_text(encoding="utf-8")
-        findings = self.engine().lint_source(source, "repro/engine/elsewhere.py")
-        assert findings == []
-
-    def test_shipped_worldbuilder_package_is_clean(self):
-        import repro.worldbuilder as wb_pkg
-
-        package_dir = pathlib.Path(wb_pkg.__file__).resolve().parent
         engine = self.engine()
         for module in sorted(package_dir.glob("*.py")):
             findings = engine.lint_file(module, package_dir.parent.parent)
