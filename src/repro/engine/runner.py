@@ -33,7 +33,7 @@ from repro.engine.metrics import ExperimentTally, ShardMetrics
 from repro.engine.retry import RetryPolicy
 from repro.engine.sharding import ShardSpec, derive_seed
 from repro.faults import KIND_STALE
-from repro.obs import OBS_OFF, OBS_TRACE, MetricsRegistry, TraceRecorder, registry_from_events
+from repro.obs import OBS_OFF, OBS_TRACE, MetricsRecorder, MetricsRegistry, TraceRecorder
 from repro.resilience.taxonomy import classify_failure, describe_failure
 from repro.sim import World, WorldConfig, build_world
 from repro.sim.profiles import CountrySpec
@@ -133,14 +133,19 @@ def run_shard(task: ShardTask) -> tuple[dict[str, Dataset], ShardMetrics, Option
     Returns ``(datasets, metrics, obs_payload)``; the observability payload
     is ``None`` when ``task.obs`` is ``off``, otherwise a JSON-able dict
     with the shard's merged metrics registry (and, at the ``trace`` level,
-    its full event list).  Because the recorder is clocked on the shard's
-    private simulated clock, the payload is a pure function of the task —
-    the same determinism contract the datasets honour.
+    its full event list).  The ``metrics`` level counts at the seams with a
+    :class:`MetricsRecorder` and keeps no events.  Because the recorder is
+    clocked on the shard's private simulated clock, the payload is a pure
+    function of the task — the same determinism contract the datasets
+    honour.
     """
     world = build_world(task.config, task.countries)
-    recorder: Optional[TraceRecorder] = None
-    if task.obs != OBS_OFF:
+    recorder: Optional[MetricsRecorder | TraceRecorder] = None
+    if task.obs == OBS_TRACE:
         recorder = TraceRecorder(world.internet.clock)
+    elif task.obs != OBS_OFF:
+        recorder = MetricsRecorder(world.internet.clock)
+    if recorder is not None:
         world.internet.obs = recorder
     obs = world.internet.obs
     # Country lookups go through the registry (O(1) on the columnar
@@ -209,15 +214,16 @@ def run_shard(task: ShardTask) -> tuple[dict[str, Dataset], ShardMetrics, Option
         obs_payload = {
             "metrics": shard_registry(task, metrics, recorder).to_dict(),
         }
-        if task.obs == OBS_TRACE:
+        if isinstance(recorder, TraceRecorder):
             obs_payload["trace"] = [event.to_dict() for event in recorder.events]
     return datasets, metrics, obs_payload
 
 
 def shard_registry(
-    task: ShardTask, metrics: ShardMetrics, recorder: TraceRecorder
+    task: ShardTask, metrics: ShardMetrics, recorder: MetricsRecorder | TraceRecorder
 ) -> MetricsRegistry:
-    """One shard's metrics registry: engine tallies plus event-derived series.
+    """One shard's metrics registry: engine tallies plus the recorder's
+    ``obs_*`` series (events by name, faults by kind, span durations).
 
     Per-shard series carry a ``shard`` label so the run-level merge (sum for
     counters, max for gauges, bucket-add for histograms) never collides two
@@ -258,7 +264,7 @@ def shard_registry(
         "engine_shard_traffic_gb", metrics.traffic_gb,
         help="simulated GB the shard's client moved", shard=task.spec.index,
     )
-    return registry_from_events(recorder.events, registry)
+    return recorder.write_metrics(registry)
 
 
 def execute_shard(task: ShardTask) -> dict:

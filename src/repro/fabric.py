@@ -18,7 +18,7 @@ from repro.net.clock import EventScheduler, SimClock
 from repro.net.ip import ip_to_str
 from repro.dnssim.authoritative import DnsRoot
 from repro.dnssim.resolver import RecursiveResolver
-from repro.obs.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
+from repro.obs.recorder import NULL_RECORDER, MetricsRecorder, NullRecorder, TraceRecorder
 from repro.tlssim.certs import CertificateChain
 from repro.tlssim.handshake import TlsEndpoint
 from repro.web.http import HttpRequest, HttpResponse
@@ -37,9 +37,10 @@ class Internet:
         self.scheduler = EventScheduler(self.clock)
         #: The observability recorder every component on this fabric shares.
         #: Defaults to the no-op recorder; the engine installs a
-        #: :class:`~repro.obs.recorder.TraceRecorder` when tracing is on.
+        #: :class:`~repro.obs.recorder.MetricsRecorder` at the ``metrics``
+        #: level and a :class:`~repro.obs.recorder.TraceRecorder` at ``trace``.
         #: Instrumented hot paths guard with ``if obs.enabled:``.
-        self.obs: NullRecorder | TraceRecorder = NULL_RECORDER
+        self.obs: NullRecorder | MetricsRecorder | TraceRecorder = NULL_RECORDER
         self.dns_root = DnsRoot()
         self._web_servers: dict[int, HttpHandler] = {}
         self._tls_endpoints: dict[tuple[int, int], TlsEndpoint] = {}

@@ -34,7 +34,7 @@ from repro.obs.metrics import (
     registry_from_events,
 )
 from repro.obs.profiling import ProfilingChannel
-from repro.obs.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
+from repro.obs.recorder import NULL_RECORDER, MetricsRecorder, NullRecorder, TraceRecorder
 from repro.obs.trace import TraceLog, canonical_line
 
 #: Observability levels accepted by the engine's ``StudySpec.obs``.
@@ -50,6 +50,7 @@ __all__ = [
     "KIND_BEGIN",
     "KIND_END",
     "KIND_INSTANT",
+    "MetricsRecorder",
     "MetricsRegistry",
     "NULL_RECORDER",
     "NullRecorder",

@@ -31,6 +31,12 @@ DEFAULT_BUCKETS = (0.05, 0.25, 1.0, 5.0, 30.0, 120.0, 600.0, 3600.0)
 #: resolve.  One minute up to one week; +Inf implicit.
 SERVICE_BUCKETS = (60.0, 600.0, 3_600.0, 21_600.0, 86_400.0, 259_200.0, 604_800.0)
 
+#: Help text of the ``obs_*`` series a recorder derives (see
+#: :func:`registry_from_events` and ``MetricsRecorder.write_metrics``).
+OBS_EVENTS_HELP = "events recorded, by name"
+OBS_FAULTS_HELP = "fault injections observed at instrumented seams"
+OBS_SPANS_HELP = "span durations in simulated seconds"
+
 COUNTER = "counter"
 GAUGE = "gauge"
 HISTOGRAM = "histogram"
@@ -41,6 +47,15 @@ LabelKey = tuple[tuple[str, str], ...]
 def _label_key(labels: Mapping[str, object]) -> LabelKey:
     """Canonical label identity: sorted keys, string values."""
     return tuple((key, str(labels[key])) for key in sorted(labels))
+
+
+def bucket_slot(bounds: tuple[float, ...], value: float) -> int:
+    """The histogram slot ``value`` falls in: the first bound it does not
+    exceed, or ``len(bounds)`` (the overflow slot) past the last one."""
+    for index, bound in enumerate(bounds):
+        if value <= bound:
+            return index
+    return len(bounds)
 
 
 class _Family:
@@ -123,9 +138,7 @@ class MetricsRegistry:
         **labels: object,
     ) -> None:
         """Observe one value into a fixed-bucket histogram (merge: add)."""
-        bounds = tuple(float(b) for b in buckets)
-        if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
-            raise ValueError(f"histogram {name!r} buckets must strictly increase: {bounds}")
+        bounds = _histogram_bounds(name, buckets)
         family = self._family(name, HISTOGRAM, help, bounds)
         key = _label_key(labels)
         sample = family.samples.get(key)
@@ -134,14 +147,27 @@ class MetricsRegistry:
             sample = [0] * (len(bounds) + 1) + [0, 0.0]
             family.samples[key] = sample
         assert isinstance(sample, list)
-        slot = len(bounds)
-        for index, bound in enumerate(bounds):
-            if value <= bound:
-                slot = index
-                break
-        sample[slot] += 1
+        sample[bucket_slot(bounds, value)] += 1
         sample[-2] += 1
         sample[-1] = float(sample[-1]) + float(value)
+
+    def add_histogram_sample(
+        self,
+        name: str,
+        sample: list,
+        /,
+        help: str = "",
+        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
+        **labels: object,
+    ) -> None:
+        """Add a pre-bucketed ``[per-bucket counts..., overflow, count, sum]``
+        sample to a histogram, bucket-wise (the :meth:`update` combine).
+
+        Into an empty sample this equals observing the values one by one
+        with :meth:`histogram`, provided the sum was taken in that order.
+        """
+        family = self._family(name, HISTOGRAM, help, _histogram_bounds(name, buckets))
+        _add_histogram(family.samples, _label_key(labels), sample)
 
     # -- merge --------------------------------------------------------------
 
@@ -162,13 +188,7 @@ class MetricsRegistry:
                     family.samples[key] = merged
                 else:
                     assert isinstance(value, list)
-                    if mine is None:
-                        family.samples[key] = list(value[:-1]) + [float(value[-1])]
-                    else:
-                        assert isinstance(mine, list)
-                        for index in range(len(value) - 1):
-                            mine[index] += value[index]
-                        mine[-1] = float(mine[-1]) + float(value[-1])
+                    _add_histogram(family.samples, key, value)
         return self
 
     @classmethod
@@ -244,6 +264,26 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n" if lines else ""
 
 
+def _histogram_bounds(name: str, buckets: Iterable[float]) -> tuple[float, ...]:
+    """A histogram's bucket bounds as floats; they must strictly increase."""
+    bounds = tuple(float(b) for b in buckets)
+    if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
+        raise ValueError(f"histogram {name!r} buckets must strictly increase: {bounds}")
+    return bounds
+
+
+def _add_histogram(samples: dict[LabelKey, object], key: LabelKey, value: list) -> None:
+    """Bucket-wise add one histogram sample into ``samples[key]``."""
+    mine = samples.get(key)
+    if mine is None:
+        samples[key] = list(value[:-1]) + [float(value[-1])]
+        return
+    assert isinstance(mine, list)
+    for index in range(len(value) - 1):
+        mine[index] += value[index]
+    mine[-1] = float(mine[-1]) + float(value[-1])
+
+
 def _format_float(value: float) -> str:
     """Render a number without a trailing ``.0`` for integral values."""
     if float(value).is_integer():
@@ -279,12 +319,12 @@ def registry_from_events(events: Iterable, registry: Optional[MetricsRegistry] =
     for raw in events:
         event = raw if isinstance(raw, Event) else Event.from_dict(raw)
         registry.counter(
-            "obs_events_total", 1, help="events recorded, by name", name=event.name
+            "obs_events_total", 1, help=OBS_EVENTS_HELP, name=event.name
         )
         if event.name == "fault.injected":
             registry.counter(
                 "obs_faults_total", 1,
-                help="fault injections observed at instrumented seams",
+                help=OBS_FAULTS_HELP,
                 kind=event.attr("kind") or "unknown",
             )
         if event.kind == KIND_BEGIN:
@@ -294,7 +334,7 @@ def registry_from_events(events: Iterable, registry: Optional[MetricsRegistry] =
             if started is not None:
                 registry.histogram(
                     "obs_span_seconds", event.ts - started,
-                    help="span durations in simulated seconds",
+                    help=OBS_SPANS_HELP,
                     name=event.name,
                 )
     return registry

@@ -7,6 +7,7 @@ tracing on must not perturb the science (datasets, run digest, report).
 
 import pytest
 
+import repro.obs.recorder
 from repro.engine import CheckpointMismatchError, StudySpec, run_study
 from repro.sim import WorldConfig, build_world
 from repro.sim.profiles import CountrySpec
@@ -130,6 +131,50 @@ class TestCrashResume:
                 world=chaos_world,
                 analyses=False,
             )
+
+
+class TestMetricsLevel:
+    """``obs="metrics"`` counts at the seams; it must publish exactly the
+    snapshot the ``trace`` level derives from its events."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_snapshot_equals_trace_level(self, chaos_world, traced_one_worker, workers):
+        traced, _ = traced_one_worker
+        run = run_study(
+            traced_spec(workers, obs="metrics"), world=chaos_world, analyses=False
+        )
+        assert run.obs_metrics.snapshot_json() == traced.obs_metrics.snapshot_json()
+
+    def test_snapshot_identical_across_crash_resume(self, chaos_world, tmp_path):
+        path = tmp_path / "metrics.jsonl"
+        full = run_study(
+            traced_spec(1, obs="metrics"),
+            checkpoint=str(path),
+            world=chaos_world,
+            analyses=False,
+        )
+        crashed = tmp_path / "crashed.jsonl"
+        lines = path.read_text().splitlines()
+        crashed.write_text("\n".join(lines[:2]) + '\n{"kind": "shard", "ind')
+        resumed = run_study(
+            traced_spec(1, obs="metrics"),
+            checkpoint=str(crashed),
+            resume=True,
+            world=chaos_world,
+            analyses=False,
+        )
+        assert resumed.report.resumed_shards == 1
+        assert resumed.obs_metrics.snapshot_json() == full.obs_metrics.snapshot_json()
+
+    def test_builds_no_events(self, chaos_world, monkeypatch):
+        def no_events(*args, **kwargs):
+            raise AssertionError("the metrics level built an Event")
+
+        monkeypatch.setattr(repro.obs.recorder, "Event", no_events)
+        run = run_study(
+            traced_spec(1, obs="metrics"), world=chaos_world, analyses=False
+        )
+        assert run.obs_metrics is not None and len(run.obs_metrics) > 0
 
 
 class TestTracingIsInert:

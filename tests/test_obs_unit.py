@@ -10,6 +10,7 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net.clock import SimClock
 from repro.obs import (
@@ -19,6 +20,7 @@ from repro.obs import (
     KIND_BEGIN,
     KIND_END,
     KIND_INSTANT,
+    MetricsRecorder,
     MetricsRegistry,
     NullRecorder,
     ProfilingChannel,
@@ -254,6 +256,85 @@ class TestRegistryFromEvents:
             [e.to_dict() for e in recorder.events]
         ).snapshot_json()
         assert from_records == from_dicts
+
+
+class _Unwind(Exception):
+    """Raised by a program's ``raise`` step; caught by a ``catch`` span."""
+
+
+#: Clock steps: a zero step, each default bucket bound exactly (a span
+#: opened at t=0 then lasts exactly that long), and arbitrary steps.
+_ADVANCES = st.sampled_from([0.0, 0.05, 1.0, 3600.0]) | st.floats(
+    min_value=0.0, max_value=5000.0, allow_nan=False, allow_infinity=False
+)
+_NAMES = st.sampled_from(["fault.injected", "dns.resolve", "node.measure", "x"])
+#: ``kind`` as a string, empty, missing, and non-string; plus no attrs at all.
+_ATTRS = st.sampled_from([
+    None, {}, {"kind": "stall"}, {"kind": "dns"}, {"kind": ""},
+    {"other": "v"}, {"kind": 7}, {"kind": None}, {"kind": False},
+])
+_STEPS = st.recursive(
+    st.one_of(
+        st.tuples(st.just("advance"), _ADVANCES),
+        st.tuples(st.just("event"), _NAMES, _ATTRS),
+        st.tuples(st.just("raise")),
+    ),
+    lambda body: st.tuples(
+        st.just("span"), _NAMES, _ATTRS, st.lists(body, max_size=5), st.booleans()
+    ),
+    max_leaves=30,
+)
+
+
+def _play(recorder, clock, program) -> None:
+    """Drive one random program: clock steps, events, nested spans, and
+    exceptions that unwind spans up to the nearest ``catch`` span."""
+    for step in program:
+        if step[0] == "advance":
+            clock.advance(step[1])
+        elif step[0] == "event":
+            recorder.event(step[1], attrs=step[2])
+        elif step[0] == "raise":
+            raise _Unwind()
+        else:
+            _, name, attrs, body, catch = step
+            try:
+                with recorder.span(name, attrs=attrs):
+                    _play(recorder, clock, body)
+            except _Unwind:
+                if not catch:
+                    raise
+
+
+def _played(recorder_type, program):
+    clock = SimClock()
+    recorder = recorder_type(clock)
+    try:
+        _play(recorder, clock, program)
+    except _Unwind:
+        pass
+    return recorder
+
+
+class TestMetricsRecorder:
+    @given(program=st.lists(_STEPS, max_size=8))
+    @example(program=[("span", "s", None, [("advance", 0.05)], False)])
+    @example(program=[("span", "s", None, [("advance", 1.0)], False)])
+    @example(program=[("span", "s", None, [("advance", 3600.0)], False)])
+    @example(program=[
+        ("span", "fault.injected", {"kind": 7}, [
+            ("span", "s", None, [("event", "fault.injected", {"kind": ""}), ("raise",)], False),
+        ], True),
+        ("event", "fault.injected", None),
+        ("event", "fault.injected", {"kind": "stall"}),
+    ])
+    @settings(max_examples=300, deadline=None)
+    def test_counts_equal_the_series_derived_from_a_trace(self, program):
+        trace = _played(TraceRecorder, program)
+        counted = _played(MetricsRecorder, program)
+        expected = registry_from_events(trace.events).snapshot_json()
+        assert counted.write_metrics(MetricsRegistry()).snapshot_json() == expected
+        assert trace.write_metrics(MetricsRegistry()).snapshot_json() == expected
 
 
 class TestProfilingChannel:
